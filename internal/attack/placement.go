@@ -294,11 +294,17 @@ func BalancedForInfectionRate(m noc.Mesh, gm noc.NodeID, target float64, groups 
 // non-manager nodes when nil).
 func rateOver(m noc.Mesh, gm noc.NodeID, infected map[noc.NodeID]bool, sources []noc.NodeID) float64 {
 	hit, total := 0, 0
+	dst := m.Coord(gm)
 	check := func(src noc.NodeID) {
 		total++
-		for _, r := range m.PathXY(src, gm) {
-			if infected[r] {
+		// Walk the Mesh.PathXY route hop by hop, endpoints included,
+		// without materialising it.
+		for c := m.Coord(src); ; c = m.StepToward(c, dst) {
+			if infected[m.ID(c)] {
 				hit++
+				return
+			}
+			if c == dst {
 				return
 			}
 		}

@@ -42,12 +42,19 @@ func (d DPKnapsack) Allocate(budgetMW uint64, reqs []Request) []uint32 {
 		units int
 		value float64
 	}
+	// All cores' choices share one backing array, sized up front.
+	total := 0
+	for _, r := range reqs {
+		total += 1 + len(r.LevelsMW)
+	}
+	flat := make([]choice, 0, total)
 	choices := make([][]choice, len(reqs))
 	for i, r := range reqs {
+		start := len(flat)
 		// The zero-grant choice keeps the program feasible for any budget
 		// and lets the optimiser park a core — which is exactly what
 		// happens to a victim whose request was tampered to zero.
-		cs := []choice{{mw: 0, units: 0, value: 0}}
+		flat = append(flat, choice{mw: 0, units: 0, value: 0})
 		for li, lvl := range r.LevelsMW {
 			if lvl > r.RequestMW {
 				break
@@ -58,26 +65,27 @@ func (d DPKnapsack) Allocate(budgetMW uint64, reqs []Request) []uint32 {
 			}
 			// Ceiling quantisation guarantees the un-quantised grant sum
 			// never exceeds the budget.
-			cs = append(cs, choice{mw: lvl, units: int((uint64(lvl) + quant - 1) / quant), value: v})
+			flat = append(flat, choice{mw: lvl, units: int((uint64(lvl) + quant - 1) / quant), value: v})
 		}
-		choices[i] = cs
+		choices[i] = flat[start:len(flat):len(flat)]
 	}
 
 	const negInf = -1e18
 	// best[j] = max value using cores processed so far with j budget units;
-	// pick[i][j] = chosen level index for core i at state j.
+	// next is the row being built, and the two swap after every core.
+	// pick[i*cols+j] = chosen level index for core i at state j.
 	best := make([]float64, cols)
+	next := make([]float64, cols)
 	for j := range best {
 		best[j] = negInf
 	}
 	best[0] = 0
-	pick := make([][]int16, len(reqs))
+	pick := make([]int16, len(reqs)*cols)
 	for i := range reqs {
-		pick[i] = make([]int16, cols)
-		next := make([]float64, cols)
+		row := pick[i*cols : (i+1)*cols]
 		for j := range next {
 			next[j] = negInf
-			pick[i][j] = -1
+			row[j] = -1
 		}
 		for j := 0; j < cols; j++ {
 			if best[j] == negInf {
@@ -90,11 +98,11 @@ func (d DPKnapsack) Allocate(budgetMW uint64, reqs []Request) []uint32 {
 				}
 				if v := best[j] + c.value; v > next[nj] {
 					next[nj] = v
-					pick[i][nj] = int16(ci)
+					row[nj] = int16(ci)
 				}
 			}
 		}
-		best = next
+		best, next = next, best
 	}
 
 	// Find the best reachable end state and trace back.
@@ -109,7 +117,7 @@ func (d DPKnapsack) Allocate(budgetMW uint64, reqs []Request) []uint32 {
 	}
 	j := bestJ
 	for i := len(reqs) - 1; i >= 0; i-- {
-		ci := pick[i][j]
+		ci := pick[i*cols+j]
 		if ci < 0 {
 			// Unreachable in a consistent table; grant the floor.
 			continue

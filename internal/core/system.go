@@ -300,8 +300,12 @@ func (s *System) setup(sc Scenario) (*run, error) {
 		for t, node := range app.cores {
 			cs := &r.cores[node]
 			cs.app = ai
-			cs.stream = mem.NewAddressStream(ai, t, profile.WorkingSetLines, profile.WriteFraction,
-				rand.New(rand.NewSource(s.cfg.Seed+int64(node)*7919+int64(ai))))
+			// Only generateTraffic reads the per-core address streams, so
+			// a run without memory traffic builds none.
+			if s.cfg.MemTraffic {
+				cs.stream = mem.NewAddressStream(ai, t, profile.WorkingSetLines, profile.WriteFraction,
+					rand.New(rand.NewSource(s.cfg.Seed+int64(node)*7919+int64(ai))))
+			}
 		}
 		r.apps = append(r.apps, app)
 	}

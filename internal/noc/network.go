@@ -3,7 +3,7 @@ package noc
 import (
 	"errors"
 	"fmt"
-	"slices"
+	"math/bits"
 )
 
 // Config holds the NoC parameters of Table I.
@@ -133,6 +133,7 @@ type Handler func(p *Packet)
 // re-slices nor reallocates.
 type vcState struct {
 	rt   *router // owning router, for buffered-flit accounting
+	idx  int     // index in rt.vcs, the VC's bit in the router's masks
 	buf  []*Flit // ring storage, len == BufDepth
 	head int
 	n    int
@@ -181,14 +182,26 @@ func (v *vcState) space(depth int) bool { return v.n+v.inflight < depth }
 type router struct {
 	id  NodeID
 	vcs []vcState
+	// occ has bit i set while vcs[i] holds at least one flit. The pipeline
+	// stages visit only these VCs, in ascending index order.
+	occ bitset
 	// saPtr is the round-robin switch-allocation pointer per output port,
 	// indexing the flattened (input port, VC) candidate list.
 	saPtr [numDirections]int
-	// buffered counts flits currently held in this router's input VCs; a
-	// router leaves the active worklist when it reaches zero.
+	// buffered counts flits currently held in this router's input VCs; the
+	// router is on the active worklist exactly while it is non-zero.
 	buffered int
-	active   bool
 }
+
+// bitset is a set of small non-negative integers, one bit per member in
+// ascending word order. Every mask in the network — VC occupancy, switch
+// requests and the node worklists — uses it, whatever its size.
+type bitset []uint64
+
+func newBitset(size int) bitset { return make(bitset, (size+63)/64) }
+
+func (b bitset) set(i int)   { b[i>>6] |= 1 << (i & 63) }
+func (b bitset) clear(i int) { b[i>>6] &^= 1 << (i & 63) }
 
 // inflightFlit is a flit traversing the router pipeline + link toward a
 // downstream input VC. Latency is constant, so a FIFO keeps arrival order.
@@ -203,10 +216,9 @@ type inflightFlit struct {
 // packet. The queue is drained via qhead instead of re-slicing so its
 // backing array is reused across epochs.
 type nodeNI struct {
-	queue  []*Flit
-	qhead  int
-	injVC  *vcState // VC currently allocated to the head-of-queue packet
-	active bool
+	queue []*Flit
+	qhead int
+	injVC *vcState // VC currently allocated to the head-of-queue packet
 }
 
 // qlen returns the number of queued flits not yet injected.
@@ -242,13 +254,18 @@ func (s *Stats) AvgLatency(t PacketType) float64 {
 // Network is the cycle-stepped NoC. It is not safe for concurrent use; one
 // simulation owns one network.
 //
-// Stepping is worklist-driven: a router is scanned by the RC/VA/SA stages
-// only while flits sit in its input buffers, and a network interface only
-// while its source queue is non-empty. The worklists are kept sorted by
-// node ID, so a Step visits exactly the routers a full scan would have
-// found non-idle, in the same order — cycle-for-cycle identical behaviour
-// to the exhaustive sweep, without the O(nodes × ports × VCs) cost on a
-// nearly-empty network.
+// Stepping is mask-driven. The worklists are bitsets over node IDs: a
+// router is on its list while flits sit in its input buffers, and a
+// network interface while its source queue is non-empty. Inside a router,
+// an occupancy bitset marks the input VCs that hold a flit; route
+// computation and VC allocation visit only those, and switch allocation
+// first folds them into one request bitset per output port, then grants
+// each port to the first requester at or after its round-robin pointer.
+// Every bitset is walked in ascending order, so a Step acts on the same
+// routers and VCs, in the same order, as an exhaustive sweep —
+// cycle-for-cycle identical behaviour, without the O(nodes × ports × VCs)
+// cost. The lock-step fuzz test in reference_test.go holds the network to
+// such a sweep.
 type Network struct {
 	mesh      Mesh
 	cfg       Config
@@ -269,12 +286,19 @@ type Network struct {
 	// buffers, link pipeline), making Busy O(1).
 	liveFlits int
 
-	// Active worklists, sorted ascending; the dirty flags note unsorted
-	// appends since the last Step.
-	activeRouters []int32
-	routersDirty  bool
-	activeNIs     []int32
-	nisDirty      bool
+	// Active worklists over node IDs: routers with buffered flits and
+	// network interfaces with queued flits.
+	activeRouters bitset
+	activeNIs     bitset
+
+	// req is the switch-allocation scratch: one request bitset per output
+	// port, each as long as a router's occupancy bitset. switchTraversal
+	// leaves it all zero.
+	req bitset
+
+	// nbr[id*numDirections+d] is the router adjacent to node id in
+	// direction d, nil at a mesh edge and for Local.
+	nbr []*router
 
 	// saDir maps a flattened VC index to its input port, hoisting the
 	// divide/modulo out of the switch-allocation loop.
@@ -320,14 +344,27 @@ func New(mesh Mesh, cfg Config) (*Network, error) {
 		handlers: make([]Handler, mesh.Nodes()),
 	}
 	vcsPerRouter := int(numDirections) * cfg.VCs
+	words := len(newBitset(vcsPerRouter))
+	n.req = make(bitset, int(numDirections)*words)
+	n.activeRouters = newBitset(mesh.Nodes())
+	n.activeNIs = newBitset(mesh.Nodes())
+	occ := make(bitset, mesh.Nodes()*words)
 	for i := range n.routers {
 		r := &router{id: NodeID(i), vcs: make([]vcState, vcsPerRouter)}
+		r.occ = occ[i*words : (i+1)*words : (i+1)*words]
 		for v := range r.vcs {
 			r.vcs[v].rt = r
+			r.vcs[v].idx = v
 			r.vcs[v].buf = make([]*Flit, cfg.BufDepth)
 		}
 		n.routers[i] = r
 		n.nis[i] = &nodeNI{}
+	}
+	n.nbr = make([]*router, mesh.Nodes()*int(numDirections))
+	for i := range n.nbr {
+		if nb, ok := mesh.Neighbor(NodeID(i/int(numDirections)), Direction(i%int(numDirections))); ok {
+			n.nbr[i] = n.routers[nb]
+		}
 	}
 	n.saDir = make([]Direction, vcsPerRouter)
 	for i := range n.saDir {
@@ -417,11 +454,7 @@ func (n *Network) Inject(p *Packet) error {
 		}
 	}
 	n.liveFlits += count
-	if !ni.active {
-		ni.active = true
-		n.activeNIs = append(n.activeNIs, int32(p.Src))
-		n.nisDirty = true
-	}
+	n.activeNIs.set(int(p.Src))
 	n.stats.Injected++
 	return nil
 }
@@ -434,14 +467,9 @@ func (n *Network) Step() {
 	n.now++
 	n.deliverArrivals()
 	n.injectFromNIs()
-	if n.routersDirty {
-		slices.Sort(n.activeRouters)
-		n.routersDirty = false
-	}
 	n.routeCompute()
 	n.vcAllocate()
 	n.switchTraversal()
-	n.sweepIdleRouters()
 }
 
 // RunUntilIdle steps until no flits remain or maxCycles elapse. It returns
@@ -457,8 +485,8 @@ func (n *Network) RunUntilIdle(maxCycles uint64) (uint64, bool) {
 	return c, !n.Busy()
 }
 
-// vcPush appends a flit to a VC's ring buffer and puts the owning router on
-// the active worklist.
+// vcPush appends a flit to a VC's ring buffer, marks the VC occupied and
+// puts the owning router on the active worklist.
 func (n *Network) vcPush(vc *vcState, f *Flit) {
 	i := vc.head + vc.n
 	if i >= len(vc.buf) {
@@ -467,15 +495,16 @@ func (n *Network) vcPush(vc *vcState, f *Flit) {
 	vc.buf[i] = f
 	vc.n++
 	rt := vc.rt
+	rt.occ.set(vc.idx)
 	rt.buffered++
-	if !rt.active {
-		rt.active = true
-		n.activeRouters = append(n.activeRouters, int32(rt.id))
-		n.routersDirty = true
-	}
+	n.activeRouters.set(int(rt.id))
 }
 
-// vcPop removes and returns a VC's head-of-line flit.
+// vcPop removes and returns a VC's head-of-line flit, clearing the VC's
+// occupancy bit when it empties and retiring the router from the worklist
+// when its last flit leaves. Pops happen only in the RC and SA stages,
+// which visit one router at a time, so a retired router is never one a
+// stage has yet to visit.
 func (n *Network) vcPop(vc *vcState) *Flit {
 	f := vc.buf[vc.head]
 	vc.buf[vc.head] = nil
@@ -484,7 +513,14 @@ func (n *Network) vcPop(vc *vcState) *Flit {
 		vc.head = 0
 	}
 	vc.n--
-	vc.rt.buffered--
+	rt := vc.rt
+	if vc.n == 0 {
+		rt.occ.clear(vc.idx)
+	}
+	rt.buffered--
+	if rt.buffered == 0 {
+		n.activeRouters.clear(int(rt.id))
+	}
 	return f
 }
 
@@ -538,24 +574,18 @@ func (n *Network) deliverArrivals() {
 // queue into the router's local input port, retiring drained NIs from the
 // worklist.
 func (n *Network) injectFromNIs() {
-	if n.nisDirty {
-		slices.Sort(n.activeNIs)
-		n.nisDirty = false
-	}
-	k := 0
-	for _, id := range n.activeNIs {
-		ni := n.nis[id]
-		n.injectOne(NodeID(id), ni)
-		if ni.qlen() > 0 {
-			n.activeNIs[k] = id
-			k++
-		} else {
-			ni.active = false
-			ni.queue = ni.queue[:0]
-			ni.qhead = 0
+	for wi, word := range n.activeNIs {
+		for ; word != 0; word &= word - 1 {
+			id := wi<<6 | bits.TrailingZeros64(word)
+			ni := n.nis[id]
+			n.injectOne(NodeID(id), ni)
+			if ni.qlen() == 0 {
+				n.activeNIs.clear(id)
+				ni.queue = ni.queue[:0]
+				ni.qhead = 0
+			}
 		}
 	}
-	n.activeNIs = n.activeNIs[:k]
 }
 
 // injectOne attempts one flit transfer from node id's source queue.
@@ -590,55 +620,61 @@ func (n *Network) injectOne(id NodeID, ni *nodeNI) {
 	}
 }
 
-// routeCompute runs the RC stage: for every active router's input VC whose
-// head-of-line flit opens a packet and has no route yet, inspect (Trojan
-// hook) and route.
+// routeCompute runs the RC stage over every occupied input VC of every
+// active router.
 func (n *Network) routeCompute() {
-	for _, id := range n.activeRouters {
-		r := n.routers[id]
-		if r.buffered == 0 {
-			continue
-		}
-		for i := range r.vcs {
-			vc := &r.vcs[i]
-			if vc.dropping {
-				n.consumeDropped(vc)
-				continue
-			}
-			if vc.n == 0 || vc.routeValid {
-				continue
-			}
-			head := vc.peek()
-			if !head.IsHead() {
-				continue
-			}
-			p := head.Packet
-			if !vc.inspected {
-				// Fig 2(b): the HT sits between the input buffer and
-				// the routing-computation module.
-				if n.inspector != nil {
-					switch n.inspector.InspectRC(r.id, p) {
-					case VerdictDrop:
-						vc.dropping = true
-						vc.inspected = true
-						n.consumeDropped(vc)
-						continue
-					case VerdictLoopback:
-						// The malicious router bounces the packet back
-						// to its source; the route below targets the
-						// rewritten destination.
-						p.Dst = p.Src
-						p.LoopedBack = true
-					}
+	for wi, word := range n.activeRouters {
+		for ; word != 0; word &= word - 1 {
+			r := n.routers[wi<<6|bits.TrailingZeros64(word)]
+			for oi, occ := range r.occ {
+				for ; occ != 0; occ &= occ - 1 {
+					n.routeVC(r, &r.vcs[oi<<6|bits.TrailingZeros64(occ)])
 				}
-				vc.inspected = true
-				p.Hops++
 			}
-			n.freeFrom, n.freeClass = r.id, p.Class
-			vc.route = n.cfg.classRouting(p.Class).Route(n.mesh, r.id, p.Dst, n.freeFn)
-			vc.routeValid = true
 		}
 	}
+}
+
+// routeVC is the RC stage for one occupied input VC: a head-of-line flit
+// that opens a packet and has no route yet is inspected (Trojan hook) and
+// routed, and a VC condemned by a VerdictDrop eats its buffered flits.
+func (n *Network) routeVC(r *router, vc *vcState) {
+	if vc.dropping {
+		n.consumeDropped(vc)
+		return
+	}
+	if vc.routeValid {
+		return
+	}
+	head := vc.peek()
+	if !head.IsHead() {
+		return
+	}
+	p := head.Packet
+	if !vc.inspected {
+		// Fig 2(b): the HT sits between the input buffer and the
+		// routing-computation module.
+		if n.inspector != nil {
+			switch n.inspector.InspectRC(r.id, p) {
+			case VerdictDrop:
+				vc.dropping = true
+				vc.inspected = true
+				n.consumeDropped(vc)
+				return
+			case VerdictLoopback:
+				// The malicious router bounces the packet back to its
+				// source; the route below targets the rewritten
+				// destination.
+				p.Dst = p.Src
+				p.LoopedBack = true
+			}
+		}
+		vc.inspected = true
+		p.Hops++
+	}
+	n.freeFrom, n.freeClass = r.id, p.Class
+	vc.route = n.cfg.classRouting(p.Class).Route(n.mesh, r.id, p.Dst, n.freeFn)
+	vc.routeValid = true
 }
 
 // consumeDropped discards buffered flits of a packet condemned by a
@@ -663,13 +699,13 @@ func (n *Network) consumeDropped(vc *vcState) {
 // has any completely free input VC in the packet's class — the congestion
 // signal used by the adaptive routing algorithm.
 func (n *Network) downstreamHasFreeVC(id NodeID, dir Direction, class int) bool {
-	nb, ok := n.mesh.Neighbor(id, dir)
-	if !ok {
+	nb := n.nbr[int(id)*int(numDirections)+int(dir)]
+	if nb == nil {
 		return false
 	}
 	base := int(dir.Opposite()) * n.cfg.VCs
 	lo, hi := n.cfg.classVCRange(class)
-	vcs := n.routers[nb].vcs
+	vcs := nb.vcs
 	for v := lo; v < hi; v++ {
 		if vcs[base+v].free() {
 			return true
@@ -678,128 +714,166 @@ func (n *Network) downstreamHasFreeVC(id NodeID, dir Direction, class int) bool 
 	return false
 }
 
-// vcAllocate runs the VA stage: routed head packets at active routers
-// reserve a free VC in the downstream router's input port.
+// vcAllocate runs the VA stage over every occupied input VC of every
+// active router.
 func (n *Network) vcAllocate() {
-	for _, id := range n.activeRouters {
-		r := n.routers[id]
-		if r.buffered == 0 {
-			continue
+	for wi, word := range n.activeRouters {
+		for ; word != 0; word &= word - 1 {
+			r := n.routers[wi<<6|bits.TrailingZeros64(word)]
+			for oi, occ := range r.occ {
+				for ; occ != 0; occ &= occ - 1 {
+					n.allocateVC(r, &r.vcs[oi<<6|bits.TrailingZeros64(occ)])
+				}
+			}
 		}
-		for i := range r.vcs {
-			vc := &r.vcs[i]
-			if !vc.routeValid || vc.outVCValid || vc.route == Local {
-				continue
-			}
-			if vc.n == 0 || !vc.peek().IsHead() {
-				continue
-			}
-			nb, ok := n.mesh.Neighbor(r.id, vc.route)
-			if !ok {
-				// Routing algorithms never route off-mesh; defensive.
-				continue
-			}
-			p := vc.peek().Packet
-			base := int(vc.route.Opposite()) * n.cfg.VCs
-			lo, hi := n.cfg.classVCRange(p.Class)
-			dim, crossed, wrap := int8(0), false, false
+	}
+}
+
+// allocateVC is the VA stage for one occupied input VC: a routed head
+// packet reserves a free VC in the downstream router's input port.
+func (n *Network) allocateVC(r *router, vc *vcState) {
+	if !vc.routeValid || vc.outVCValid || vc.route == Local || !vc.peek().IsHead() {
+		return
+	}
+	nb := n.nbr[int(r.id)*int(numDirections)+int(vc.route)]
+	if nb == nil {
+		// Routing algorithms never route off-mesh; defensive.
+		return
+	}
+	p := vc.peek().Packet
+	base := int(vc.route.Opposite()) * n.cfg.VCs
+	lo, hi := n.cfg.classVCRange(p.Class)
+	dim, crossed, wrap := int8(0), false, false
+	if n.dateline[p.Class] {
+		// Dateline banding: the class's VC range splits into a
+		// pre-dateline lower half and a post-dateline upper half. A
+		// packet rides the lower band until its hop crosses the current
+		// dimension's wraparound link, then the upper band for the rest
+		// of that dimension; switching dimensions resets it. Each
+		// unidirectional ring's dependency chain is therefore acyclic,
+		// which keeps the torus deadlock-free.
+		dim = dimOf(vc.route)
+		crossed = p.dlCrossed && p.dlDim == dim
+		wrap = n.mesh.wrapsAt(r.id, vc.route)
+		half := (hi - lo) / 2
+		if crossed || wrap {
+			lo += half
+		} else {
+			hi = lo + half
+		}
+	}
+	dvcs := nb.vcs
+	for out := lo; out < hi; out++ {
+		if dvc := &dvcs[base+out]; dvc.free() {
+			dvc.owner = p
+			vc.outVC = out
+			vc.outVCValid = true
+			vc.reservedDst = dvc
 			if n.dateline[p.Class] {
-				// Dateline banding: the class's VC range splits into a
-				// pre-dateline lower half and a post-dateline upper half.
-				// A packet rides the lower band until its hop crosses the
-				// current dimension's wraparound link, then the upper band
-				// for the rest of that dimension; switching dimensions
-				// resets it. Each unidirectional ring's dependency chain is
-				// therefore acyclic, which keeps the torus deadlock-free.
-				dim = dimOf(vc.route)
-				crossed = p.dlCrossed && p.dlDim == dim
-				wrap = n.mesh.wrapsAt(r.id, vc.route)
-				half := (hi - lo) / 2
-				if crossed || wrap {
-					lo += half
-				} else {
-					hi = lo + half
-				}
+				p.dlDim, p.dlCrossed = dim, crossed || wrap
 			}
-			dvcs := n.routers[nb].vcs
-			for out := lo; out < hi; out++ {
-				if dvc := &dvcs[base+out]; dvc.free() {
-					dvc.owner = p
-					vc.outVC = out
-					vc.outVCValid = true
-					vc.reservedDst = dvc
-					if n.dateline[p.Class] {
-						p.dlDim, p.dlCrossed = dim, crossed || wrap
-					}
-					break
-				}
-			}
+			return
 		}
 	}
 }
 
 // switchTraversal runs SA+ST: per output port of each active router, one
 // flit crosses the switch, respecting one-flit-per-input-port bandwidth,
-// then either ejects locally or enters the link pipeline.
+// then either ejects locally or enters the link pipeline. One pass over
+// the occupied VCs builds the request bitset of every output port: a VC
+// requests its routed port once it ejects locally or holds a downstream
+// VC.
 func (n *Network) switchTraversal() {
-	for _, id := range n.activeRouters {
-		r := n.routers[id]
-		if r.buffered == 0 {
-			continue
-		}
-		var usedInput [numDirections]bool
-		for out := 0; out < int(numDirections); out++ {
-			n.arbitrateOutput(r, Direction(out), &usedInput)
+	for wi, word := range n.activeRouters {
+		for ; word != 0; word &= word - 1 {
+			r := n.routers[wi<<6|bits.TrailingZeros64(word)]
+			w := len(r.occ)
+			var outs uint // bit o set when output port o has a requester
+			for oi, occ := range r.occ {
+				for ; occ != 0; occ &= occ - 1 {
+					b := bits.TrailingZeros64(occ)
+					if vc := &r.vcs[oi<<6|b]; vc.routeValid && (vc.route == Local || vc.outVCValid) {
+						n.req[int(vc.route)*w+oi] |= 1 << b
+						outs |= 1 << vc.route
+					}
+				}
+			}
+			var usedInput [numDirections]bool
+			for ; outs != 0; outs &= outs - 1 {
+				out := Direction(bits.TrailingZeros(outs))
+				req := n.req[int(out)*w : int(out+1)*w]
+				n.arbitrateOutput(r, out, req, &usedInput)
+				clear(req)
+			}
 		}
 	}
 }
 
-// arbitrateOutput picks one eligible (input, VC) for output port out using
-// a round-robin pointer and moves its head-of-line flit.
-func (n *Network) arbitrateOutput(r *router, out Direction, usedInput *[numDirections]bool) {
-	total := len(r.vcs)
-	idx := r.saPtr[out]
-	for k := 0; k < total; k++ {
-		if idx >= total {
-			idx -= total
+// arbitrateOutput grants output port out to the first requester in req, in
+// round-robin order from the port's pointer, whose input port has not sent
+// this cycle and, for a network port, whose reserved downstream VC has
+// room.
+func (n *Network) arbitrateOutput(r *router, out Direction, req bitset, usedInput *[numDirections]bool) {
+	p := r.saPtr[out]
+	pw, below := p>>6, uint64(1)<<(p&63)-1
+	// Visit the pointer's word from the pointer up, the other words in
+	// order with wrap-around, then the pointer's word below the pointer.
+	for k := 0; k <= len(req); k++ {
+		wi := pw + k
+		if wi >= len(req) {
+			wi -= len(req)
 		}
-		vc := &r.vcs[idx]
-		d := n.saDir[idx]
-		idx++
-		if usedInput[d] || vc.n == 0 || !vc.routeValid || vc.route != out {
-			continue
+		word := req[wi]
+		switch k {
+		case 0:
+			word &^= below
+		case len(req):
+			word &= below
 		}
-		if out != Local {
-			if !vc.outVCValid || !vc.reservedDst.space(n.cfg.BufDepth) {
-				continue
+		for ; word != 0; word &= word - 1 {
+			if n.grant(r, out, wi<<6|bits.TrailingZeros64(word), usedInput) {
+				return
 			}
 		}
-		f := n.vcPop(vc)
-		usedInput[d] = true
-		r.saPtr[out] = idx
-		if idx == total {
-			r.saPtr[out] = 0
-		}
-
-		// Read the flit kind before eject: ejection frees the flit to the
-		// pool, and a delivery handler may synchronously Inject a new
-		// packet that recycles (and rewrites) it.
-		tail := f.IsTail()
-		if out == Local {
-			n.eject(r.id, f)
-		} else {
-			vc.reservedDst.inflight++
-			n.linkPush(inflightFlit{
-				arriveAt: n.now + uint64(n.cfg.RouterCycles+n.cfg.LinkCycles),
-				flit:     f,
-				dst:      vc.reservedDst,
-			})
-		}
-		if tail {
-			vc.reset()
-		}
-		return
 	}
+}
+
+// grant moves the head-of-line flit of requester idx through output port
+// out and advances the port's round-robin pointer past it, unless the
+// requester's input port already sent this cycle or its reserved
+// downstream VC is full. It reports whether the flit moved.
+func (n *Network) grant(r *router, out Direction, idx int, usedInput *[numDirections]bool) bool {
+	d := n.saDir[idx]
+	vc := &r.vcs[idx]
+	if usedInput[d] || (out != Local && !vc.reservedDst.space(n.cfg.BufDepth)) {
+		return false
+	}
+	f := n.vcPop(vc)
+	usedInput[d] = true
+	idx++
+	if idx == len(r.vcs) {
+		idx = 0
+	}
+	r.saPtr[out] = idx
+
+	// Read the flit kind before eject: ejection frees the flit to the
+	// pool, and a delivery handler may synchronously Inject a new packet
+	// that recycles (and rewrites) it.
+	tail := f.IsTail()
+	if out == Local {
+		n.eject(r.id, f)
+	} else {
+		vc.reservedDst.inflight++
+		n.linkPush(inflightFlit{
+			arriveAt: n.now + uint64(n.cfg.RouterCycles+n.cfg.LinkCycles),
+			flit:     f,
+			dst:      vc.reservedDst,
+		})
+	}
+	if tail {
+		vc.reset()
+	}
+	return true
 }
 
 // dimOf maps a direction to its mesh dimension for dateline tracking:
@@ -813,22 +887,6 @@ func dimOf(d Direction) int8 {
 	default:
 		return 0
 	}
-}
-
-// sweepIdleRouters retires routers whose input buffers drained this cycle.
-// Compaction preserves the ascending order of the worklist.
-func (n *Network) sweepIdleRouters() {
-	k := 0
-	for _, id := range n.activeRouters {
-		r := n.routers[id]
-		if r.buffered > 0 {
-			n.activeRouters[k] = id
-			k++
-		} else {
-			r.active = false
-		}
-	}
-	n.activeRouters = n.activeRouters[:k]
 }
 
 // eject consumes a flit at its destination; delivering the tail flit
