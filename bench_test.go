@@ -9,7 +9,9 @@ package repro_test
 
 import (
 	"context"
+	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/attack"
 	"repro/internal/budget"
@@ -308,17 +310,21 @@ func benchPaperSpec() *campaign.Spec {
 }
 
 // Substrate micro-benchmarks: the NoC under the Fig 3 traffic pattern and
-// the memory system under a hot-set workload.
+// under uniform random traffic, and the memory system under a hot-set
+// workload. The NoC rungs report host time per simulated cycle and per
+// flit-hop, counting only Inject and Step, not network construction.
 func BenchmarkNoCManyToOne(b *testing.B) {
 	mesh := noc.Mesh{Width: 16, Height: 16}
+	var stepNs time.Duration
+	var cycles, flitHops uint64
 	for i := 0; i < b.N; i++ {
 		net, err := noc.New(mesh, noc.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
 		gm := mesh.Center()
-		delivered := 0
-		net.Attach(gm, func(p *noc.Packet) { delivered++ })
+		net.Attach(gm, func(p *noc.Packet) { flitHops += uint64(p.Hops * p.FlitCount()) })
+		t0 := time.Now()
 		for id := noc.NodeID(0); id < noc.NodeID(mesh.Nodes()); id++ {
 			if id == gm {
 				continue
@@ -330,6 +336,79 @@ func BenchmarkNoCManyToOne(b *testing.B) {
 		if _, ok := net.RunUntilIdle(1_000_000); !ok {
 			b.Fatal("network did not drain")
 		}
+		stepNs += time.Since(t0)
+		cycles += net.Now()
+	}
+	reportNoC(b, stepNs, cycles, flitHops)
+}
+
+// BenchmarkNoCUniform offers uniform random traffic to an 8×8 mesh — 0.02
+// packets per node per cycle for 3,000 cycles, half 1-flit requests and
+// half 5-flit replies — then drains it. The schedule is drawn once from
+// seed 1, as perfbench's uniform probe draws it.
+func BenchmarkNoCUniform(b *testing.B) {
+	const cycles, load = 3000, 0.02
+	mesh := noc.Mesh{Width: 8, Height: 8}
+	type inj struct {
+		cycle    int
+		src, dst noc.NodeID
+		typ      noc.PacketType
+	}
+	var plan []inj
+	rng := rand.New(rand.NewSource(1))
+	nodes := mesh.Nodes()
+	for c := 0; c < cycles; c++ {
+		for s := 0; s < nodes; s++ {
+			if rng.Float64() >= load {
+				continue
+			}
+			d := rng.Intn(nodes - 1)
+			if d >= s {
+				d++
+			}
+			typ := noc.TypeMemReadReq
+			if rng.Intn(2) == 1 {
+				typ = noc.TypeMemReadReply
+			}
+			plan = append(plan, inj{c, noc.NodeID(s), noc.NodeID(d), typ})
+		}
+	}
+	b.ResetTimer()
+	var stepNs time.Duration
+	var stepped, flitHops uint64
+	for i := 0; i < b.N; i++ {
+		net, err := noc.New(mesh, noc.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for id := noc.NodeID(0); id < noc.NodeID(nodes); id++ {
+			net.Attach(id, func(p *noc.Packet) { flitHops += uint64(p.Hops * p.FlitCount()) })
+		}
+		t0 := time.Now()
+		next := 0
+		for c := 0; c < cycles || net.Busy(); c++ {
+			for ; next < len(plan) && plan[next].cycle == c; next++ {
+				p := plan[next]
+				if err := net.Inject(&noc.Packet{Src: p.src, Dst: p.dst, Type: p.typ}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			net.Step()
+		}
+		stepNs += time.Since(t0)
+		stepped += net.Now()
+	}
+	reportNoC(b, stepNs, stepped, flitHops)
+}
+
+// reportNoC attaches the NoC rung metrics: host ns of Inject and Step per
+// simulated cycle and per flit-hop delivered.
+func reportNoC(b *testing.B, stepNs time.Duration, cycles, flitHops uint64) {
+	if cycles > 0 {
+		b.ReportMetric(float64(stepNs.Nanoseconds())/float64(cycles), "ns/cycle")
+	}
+	if flitHops > 0 {
+		b.ReportMetric(float64(stepNs.Nanoseconds())/float64(flitHops), "ns/flit-hop")
 	}
 }
 

@@ -129,51 +129,46 @@ type Inspector interface {
 type Handler func(p *Packet)
 
 // vcState is one input virtual channel of a router. The flit buffer is a
-// fixed-capacity ring (capacity BufDepth), so steady-state traffic neither
-// re-slices nor reallocates.
+// fixed-capacity ring (capacity BufDepth) carved from one network-wide
+// slice, so steady-state traffic neither re-slices nor reallocates. The
+// counters are int32 to keep the struct small (TestVCStateSize).
 type vcState struct {
-	rt   *router // owning router, for buffered-flit accounting
-	idx  int     // index in rt.vcs, the VC's bit in the router's masks
-	buf  []*Flit // ring storage, len == BufDepth
-	head int
-	n    int
+	rt  *router // owning router, for buffered-flit accounting and masks
+	buf []*Flit // ring storage, len == BufDepth
 
 	// owner is the packet holding this VC (wormhole allocation). It is set
 	// when an upstream VC allocation reserves this channel and cleared when
 	// the packet's tail flit departs the fifo.
-	owner *Packet
-	// inflight counts flits sent toward this VC that have not yet arrived.
-	inflight int
-
-	// Per-packet routing state for the packet at the head of the fifo.
-	route       Direction
-	routeValid  bool
-	outVC       int
-	outVCValid  bool
-	inspected   bool
-	dropping    bool     // consume this packet's flits instead of routing them
+	owner       *Packet
 	reservedDst *vcState // downstream VC reserved by VC allocation
-}
+	route       Direction
 
-func (v *vcState) reset() {
-	v.owner = nil
-	v.route = Local
-	v.routeValid = false
-	v.outVC = 0
-	v.outVCValid = false
-	v.inspected = false
-	v.dropping = false
-	v.reservedDst = nil
+	idx  int32 // index in rt.vcs, the VC's bit in the router's masks
+	head int32
+	n    int32
+	// inflight counts flits sent toward this VC that have not yet arrived.
+	inflight int32
+
+	// vaLo and vaHi bound the downstream input VCs (indices into the
+	// neighbour's vcs) that VC allocation may reserve for the routed head,
+	// and dlDim/dlCrossed are the dateline state a grant commits to the
+	// packet. routeVC fixes all four when it routes the head.
+	vaLo, vaHi int32
+	dlDim      int8
+	dlCrossed  bool
+
+	// routeValid is set once the packet's head is routed; route and the VA
+	// fields above hold only while it is. The router's va and ready masks
+	// summarise it together with route and reservedDst.
+	routeValid bool
+	dropping   bool // consume this packet's flits instead of routing them
 }
 
 // peek returns the head-of-line flit; the caller must know n > 0.
 func (v *vcState) peek() *Flit { return v.buf[v.head] }
 
-// free reports whether the VC can accept a new packet's head flit.
-func (v *vcState) free() bool { return v.owner == nil && v.n == 0 && v.inflight == 0 }
-
 // space reports whether one more flit fits (buffer + in-flight).
-func (v *vcState) space(depth int) bool { return v.n+v.inflight < depth }
+func (v *vcState) space(depth int) bool { return int(v.n+v.inflight) < depth }
 
 // router is one mesh router. Input VCs are flattened into a single slice —
 // the VC for (input port d, channel v) sits at index d*VCs+v — which is
@@ -182,9 +177,15 @@ func (v *vcState) space(depth int) bool { return v.n+v.inflight < depth }
 type router struct {
 	id  NodeID
 	vcs []vcState
-	// occ has bit i set while vcs[i] holds at least one flit. The pipeline
-	// stages visit only these VCs, in ascending index order.
-	occ bitset
+	// The VC masks, one bit per entry of vcs. Each pipeline stage walks
+	// only the VCs its mask selects, in ascending index order:
+	//   - occ: the VC holds at least one flit;
+	//   - free: the VC has no owner, so it can take a new packet;
+	//   - va: the VC's head is routed to a network port and waits for a
+	//     downstream VC;
+	//   - ready: the VC may request the switch — routed Local, or holding
+	//     a downstream VC.
+	occ, free, va, ready bitset
 	// saPtr is the round-robin switch-allocation pointer per output port,
 	// indexing the flattened (input port, VC) candidate list.
 	saPtr [numDirections]int
@@ -194,14 +195,27 @@ type router struct {
 }
 
 // bitset is a set of small non-negative integers, one bit per member in
-// ascending word order. Every mask in the network — VC occupancy, switch
-// requests and the node worklists — uses it, whatever its size.
+// ascending word order. Every mask in the network — the VC stage masks,
+// switch requests and the node worklists — uses it, whatever its size.
 type bitset []uint64
 
 func newBitset(size int) bitset { return make(bitset, (size+63)/64) }
 
 func (b bitset) set(i int)   { b[i>>6] |= 1 << (i & 63) }
 func (b bitset) clear(i int) { b[i>>6] &^= 1 << (i & 63) }
+
+// first returns the smallest member in [lo, hi), or -1 if there is none.
+func (b bitset) first(lo, hi int) int {
+	for i := lo; i < hi; i = (i | 63) + 1 {
+		if w := b[i>>6] >> (i & 63); w != 0 {
+			if i += bits.TrailingZeros64(w); i < hi {
+				return i
+			}
+			return -1
+		}
+	}
+	return -1
+}
 
 // inflightFlit is a flit traversing the router pipeline + link toward a
 // downstream input VC. Latency is constant, so a FIFO keeps arrival order.
@@ -257,15 +271,27 @@ func (s *Stats) AvgLatency(t PacketType) float64 {
 // Stepping is mask-driven. The worklists are bitsets over node IDs: a
 // router is on its list while flits sit in its input buffers, and a
 // network interface while its source queue is non-empty. Inside a router,
-// an occupancy bitset marks the input VCs that hold a flit; route
-// computation and VC allocation visit only those, and switch allocation
-// first folds them into one request bitset per output port, then grants
-// each port to the first requester at or after its round-robin pointer.
-// Every bitset is walked in ascending order, so a Step acts on the same
-// routers and VCs, in the same order, as an exhaustive sweep —
-// cycle-for-cycle identical behaviour, without the O(nodes × ports × VCs)
-// cost. The lock-step fuzz test in reference_test.go holds the network to
-// such a sweep.
+// four VC masks (see router) tell each pipeline stage which VCs have work
+// for it. Route computation visits the occupied VCs not yet routed; VC
+// allocation visits the heads waiting for a downstream VC, and finds one
+// with a single lookup in the downstream router's free mask; switch
+// allocation folds the occupied ready VCs into one request bitset per
+// output port, then grants each port to the first requester at or after
+// its round-robin pointer. Every bitset is walked in ascending order, so a
+// Step acts on the same routers and VCs, in the same order, as an
+// exhaustive sweep — cycle-for-cycle identical behaviour, without the
+// O(nodes × ports × VCs) cost.
+//
+// VC allocation also skips whole routers. A VC is reserved before any flit
+// is sent to it and released only when its tail leaves, so it holds one
+// packet at a time and is free exactly while it has no owner. Each network
+// input port is fed by exactly one upstream router, and a waiting head's
+// candidate VCs are fixed when it is routed. A router's waiting heads can
+// therefore only start to succeed after a head is routed there, or after
+// a VC one of its output ports feeds is released; both put the router on
+// the vaWake list, and VC allocation runs only on the routers that list
+// holds. The lock-step fuzz test in reference_test.go holds the network to
+// an exhaustive sweep.
 type Network struct {
 	mesh      Mesh
 	cfg       Config
@@ -290,6 +316,10 @@ type Network struct {
 	// network interfaces with queued flits.
 	activeRouters bitset
 	activeNIs     bitset
+	// vaWake lists the routers where a VC allocation could succeed: a head
+	// was routed there to a network port, or a VC one of its output ports
+	// feeds was released. vcAllocate walks it and then empties it.
+	vaWake bitset
 
 	// req is the switch-allocation scratch: one request bitset per output
 	// port, each as long as a router's occupancy bitset. switchTraversal
@@ -343,22 +373,38 @@ func New(mesh Mesh, cfg Config) (*Network, error) {
 		nis:      make([]*nodeNI, mesh.Nodes()),
 		handlers: make([]Handler, mesh.Nodes()),
 	}
-	vcsPerRouter := int(numDirections) * cfg.VCs
+	nodes, vcsPerRouter := mesh.Nodes(), int(numDirections)*cfg.VCs
 	words := len(newBitset(vcsPerRouter))
 	n.req = make(bitset, int(numDirections)*words)
-	n.activeRouters = newBitset(mesh.Nodes())
-	n.activeNIs = newBitset(mesh.Nodes())
-	occ := make(bitset, mesh.Nodes()*words)
-	for i := range n.routers {
-		r := &router{id: NodeID(i), vcs: make([]vcState, vcsPerRouter)}
-		r.occ = occ[i*words : (i+1)*words : (i+1)*words]
+	n.activeRouters = newBitset(nodes)
+	n.activeNIs = newBitset(nodes)
+	n.vaWake = newBitset(nodes)
+	// One allocation each for every router, every VC, every flit ring and
+	// every mask; the per-router pieces are carved out of them.
+	routers, nis := make([]router, nodes), make([]nodeNI, nodes)
+	vcs := make([]vcState, nodes*vcsPerRouter)
+	rings := make([]*Flit, len(vcs)*cfg.BufDepth)
+	masks := make(bitset, 4*nodes*words)
+	carve := func() bitset {
+		b := masks[:words:words]
+		masks = masks[words:]
+		return b
+	}
+	for i := range routers {
+		r := &routers[i]
+		r.id = NodeID(i)
+		r.vcs = vcs[i*vcsPerRouter : (i+1)*vcsPerRouter : (i+1)*vcsPerRouter]
+		r.occ, r.free, r.va, r.ready = carve(), carve(), carve(), carve()
 		for v := range r.vcs {
-			r.vcs[v].rt = r
-			r.vcs[v].idx = v
-			r.vcs[v].buf = make([]*Flit, cfg.BufDepth)
+			vc := &r.vcs[v]
+			vc.rt = r
+			vc.idx = int32(v)
+			k := i*vcsPerRouter + v
+			vc.buf = rings[k*cfg.BufDepth : (k+1)*cfg.BufDepth : (k+1)*cfg.BufDepth]
+			r.free.set(v)
 		}
 		n.routers[i] = r
-		n.nis[i] = &nodeNI{}
+		n.nis[i] = &nis[i]
 	}
 	n.nbr = make([]*router, mesh.Nodes()*int(numDirections))
 	for i := range n.nbr {
@@ -488,14 +534,14 @@ func (n *Network) RunUntilIdle(maxCycles uint64) (uint64, bool) {
 // vcPush appends a flit to a VC's ring buffer, marks the VC occupied and
 // puts the owning router on the active worklist.
 func (n *Network) vcPush(vc *vcState, f *Flit) {
-	i := vc.head + vc.n
+	i := int(vc.head + vc.n)
 	if i >= len(vc.buf) {
 		i -= len(vc.buf)
 	}
 	vc.buf[i] = f
 	vc.n++
 	rt := vc.rt
-	rt.occ.set(vc.idx)
+	rt.occ.set(int(vc.idx))
 	rt.buffered++
 	n.activeRouters.set(int(rt.id))
 }
@@ -509,13 +555,13 @@ func (n *Network) vcPop(vc *vcState) *Flit {
 	f := vc.buf[vc.head]
 	vc.buf[vc.head] = nil
 	vc.head++
-	if vc.head == len(vc.buf) {
+	if int(vc.head) == len(vc.buf) {
 		vc.head = 0
 	}
 	vc.n--
 	rt := vc.rt
 	if vc.n == 0 {
-		rt.occ.clear(vc.idx)
+		rt.occ.clear(int(vc.idx))
 	}
 	rt.buffered--
 	if rt.buffered == 0 {
@@ -596,19 +642,13 @@ func (n *Network) injectOne(id NodeID, ni *nodeNI) {
 		// Allocate a free local input VC within the packet's class. The
 		// Local port is direction 0, so its VCs sit at the start of the
 		// flattened slice.
-		lo, hi := n.cfg.classVCRange(f.Packet.Class)
-		var target *vcState
-		for v := lo; v < hi; v++ {
-			if vc := &r.vcs[v]; vc.free() {
-				target = vc
-				break
-			}
-		}
-		if target == nil {
+		v := r.free.first(n.cfg.classVCRange(f.Packet.Class))
+		if v < 0 {
 			return // all local VCs of this class busy this cycle
 		}
-		target.owner = f.Packet
-		ni.injVC = target
+		r.free.clear(v)
+		r.vcs[v].owner = f.Packet
+		ni.injVC = &r.vcs[v]
 	}
 	if ni.injVC == nil || !ni.injVC.space(n.cfg.BufDepth) {
 		return
@@ -620,14 +660,14 @@ func (n *Network) injectOne(id NodeID, ni *nodeNI) {
 	}
 }
 
-// routeCompute runs the RC stage over every occupied input VC of every
-// active router.
+// routeCompute runs the RC stage over every occupied, not yet routed input
+// VC of every active router.
 func (n *Network) routeCompute() {
 	for wi, word := range n.activeRouters {
 		for ; word != 0; word &= word - 1 {
 			r := n.routers[wi<<6|bits.TrailingZeros64(word)]
 			for oi, occ := range r.occ {
-				for ; occ != 0; occ &= occ - 1 {
+				for occ &^= r.va[oi] | r.ready[oi]; occ != 0; occ &= occ - 1 {
 					n.routeVC(r, &r.vcs[oi<<6|bits.TrailingZeros64(occ)])
 				}
 			}
@@ -637,7 +677,10 @@ func (n *Network) routeCompute() {
 
 // routeVC is the RC stage for one occupied input VC: a head-of-line flit
 // that opens a packet and has no route yet is inspected (Trojan hook) and
-// routed, and a VC condemned by a VerdictDrop eats its buffered flits.
+// routed, and a VC condemned by a VerdictDrop eats its buffered flits. A
+// head routed Local becomes ready for the switch; one routed to a network
+// port joins the va mask with its VA candidate range, and wakes its
+// router's VC allocation.
 func (n *Network) routeVC(r *router, vc *vcState) {
 	if vc.dropping {
 		n.consumeDropped(vc)
@@ -651,30 +694,57 @@ func (n *Network) routeVC(r *router, vc *vcState) {
 		return
 	}
 	p := head.Packet
-	if !vc.inspected {
-		// Fig 2(b): the HT sits between the input buffer and the
-		// routing-computation module.
-		if n.inspector != nil {
-			switch n.inspector.InspectRC(r.id, p) {
-			case VerdictDrop:
-				vc.dropping = true
-				vc.inspected = true
-				n.consumeDropped(vc)
-				return
-			case VerdictLoopback:
-				// The malicious router bounces the packet back to its
-				// source; the route below targets the rewritten
-				// destination.
-				p.Dst = p.Src
-				p.LoopedBack = true
-			}
+	// Fig 2(b): the HT sits between the input buffer and the
+	// routing-computation module. Only unrouted VCs reach this point, so
+	// each packet is inspected once per router.
+	if n.inspector != nil {
+		switch n.inspector.InspectRC(r.id, p) {
+		case VerdictDrop:
+			vc.dropping = true
+			n.consumeDropped(vc)
+			return
+		case VerdictLoopback:
+			// The malicious router bounces the packet back to its
+			// source; the route below targets the rewritten
+			// destination.
+			p.Dst = p.Src
+			p.LoopedBack = true
 		}
-		vc.inspected = true
-		p.Hops++
 	}
+	p.Hops++
 	n.freeFrom, n.freeClass = r.id, p.Class
 	vc.route = n.cfg.classRouting(p.Class).Route(n.mesh, r.id, p.Dst, n.freeFn)
 	vc.routeValid = true
+	if vc.route == Local {
+		r.ready.set(int(vc.idx))
+		return
+	}
+	lo, hi := n.cfg.classVCRange(p.Class)
+	if n.dateline[p.Class] {
+		// Dateline banding: the class's VC range splits into a
+		// pre-dateline lower half and a post-dateline upper half. A
+		// packet rides the lower band until its hop crosses the current
+		// dimension's wraparound link, then the upper band for the rest
+		// of that dimension; switching dimensions resets it. Each
+		// unidirectional ring's dependency chain is therefore acyclic,
+		// which keeps the torus deadlock-free. The packet's dateline
+		// state changes only at its own VA grant, so the band fixed here
+		// holds until then.
+		dim := dimOf(vc.route)
+		crossed := p.dlCrossed && p.dlDim == dim
+		wrap := n.mesh.wrapsAt(r.id, vc.route)
+		half := (hi - lo) / 2
+		if crossed || wrap {
+			lo += half
+		} else {
+			hi = lo + half
+		}
+		vc.dlDim, vc.dlCrossed = dim, crossed || wrap
+	}
+	base := int(vc.route.Opposite()) * n.cfg.VCs
+	vc.vaLo, vc.vaHi = int32(base+lo), int32(base+hi)
+	r.va.set(int(vc.idx))
+	n.vaWake.set(int(r.id))
 }
 
 // consumeDropped discards buffered flits of a packet condemned by a
@@ -689,7 +759,7 @@ func (n *Network) consumeDropped(vc *vcState) {
 		n.liveFlits--
 		if tail {
 			n.stats.DroppedPackets++
-			vc.reset()
+			n.release(vc)
 			return
 		}
 	}
@@ -705,84 +775,68 @@ func (n *Network) downstreamHasFreeVC(id NodeID, dir Direction, class int) bool 
 	}
 	base := int(dir.Opposite()) * n.cfg.VCs
 	lo, hi := n.cfg.classVCRange(class)
-	vcs := nb.vcs
-	for v := lo; v < hi; v++ {
-		if vcs[base+v].free() {
-			return true
-		}
-	}
-	return false
+	return nb.free.first(base+lo, base+hi) >= 0
 }
 
-// vcAllocate runs the VA stage over every occupied input VC of every
-// active router.
+// release frees a VC whose packet's tail has left it, and wakes VC
+// allocation at the upstream router feeding the VC's input port: its
+// waiting heads may now find a free VC.
+func (n *Network) release(vc *vcState) {
+	vc.owner, vc.reservedDst = nil, nil
+	vc.routeValid, vc.dropping = false, false
+	rt := vc.rt
+	rt.free.set(int(vc.idx))
+	rt.ready.clear(int(vc.idx))
+	if up := n.nbr[int(rt.id)*int(numDirections)+int(n.saDir[vc.idx])]; up != nil {
+		n.vaWake.set(int(up.id))
+	}
+}
+
+// vcAllocate runs the VA stage over every waiting head of every router on
+// the vaWake list, then empties the list. VA frees no VC, so a router it
+// skips would have failed every waiting head again.
 func (n *Network) vcAllocate() {
-	for wi, word := range n.activeRouters {
+	for wi, word := range n.vaWake {
 		for ; word != 0; word &= word - 1 {
 			r := n.routers[wi<<6|bits.TrailingZeros64(word)]
-			for oi, occ := range r.occ {
-				for ; occ != 0; occ &= occ - 1 {
-					n.allocateVC(r, &r.vcs[oi<<6|bits.TrailingZeros64(occ)])
+			for vi, va := range r.va {
+				for ; va != 0; va &= va - 1 {
+					n.allocateVC(r, &r.vcs[vi<<6|bits.TrailingZeros64(va)])
 				}
 			}
 		}
+		n.vaWake[wi] = 0
 	}
 }
 
-// allocateVC is the VA stage for one occupied input VC: a routed head
-// packet reserves a free VC in the downstream router's input port.
+// allocateVC is the VA stage for one waiting head: it reserves the first
+// free VC of its candidate range in the downstream router's input port.
 func (n *Network) allocateVC(r *router, vc *vcState) {
-	if !vc.routeValid || vc.outVCValid || vc.route == Local || !vc.peek().IsHead() {
-		return
-	}
 	nb := n.nbr[int(r.id)*int(numDirections)+int(vc.route)]
 	if nb == nil {
 		// Routing algorithms never route off-mesh; defensive.
 		return
 	}
-	p := vc.peek().Packet
-	base := int(vc.route.Opposite()) * n.cfg.VCs
-	lo, hi := n.cfg.classVCRange(p.Class)
-	dim, crossed, wrap := int8(0), false, false
-	if n.dateline[p.Class] {
-		// Dateline banding: the class's VC range splits into a
-		// pre-dateline lower half and a post-dateline upper half. A
-		// packet rides the lower band until its hop crosses the current
-		// dimension's wraparound link, then the upper band for the rest
-		// of that dimension; switching dimensions resets it. Each
-		// unidirectional ring's dependency chain is therefore acyclic,
-		// which keeps the torus deadlock-free.
-		dim = dimOf(vc.route)
-		crossed = p.dlCrossed && p.dlDim == dim
-		wrap = n.mesh.wrapsAt(r.id, vc.route)
-		half := (hi - lo) / 2
-		if crossed || wrap {
-			lo += half
-		} else {
-			hi = lo + half
-		}
+	out := nb.free.first(int(vc.vaLo), int(vc.vaHi))
+	if out < 0 {
+		return
 	}
-	dvcs := nb.vcs
-	for out := lo; out < hi; out++ {
-		if dvc := &dvcs[base+out]; dvc.free() {
-			dvc.owner = p
-			vc.outVC = out
-			vc.outVCValid = true
-			vc.reservedDst = dvc
-			if n.dateline[p.Class] {
-				p.dlDim, p.dlCrossed = dim, crossed || wrap
-			}
-			return
-		}
+	p := vc.peek().Packet
+	dvc := &nb.vcs[out]
+	dvc.owner = p
+	nb.free.clear(out)
+	vc.reservedDst = dvc
+	r.va.clear(int(vc.idx))
+	r.ready.set(int(vc.idx))
+	if n.dateline[p.Class] {
+		p.dlDim, p.dlCrossed = vc.dlDim, vc.dlCrossed
 	}
 }
 
 // switchTraversal runs SA+ST: per output port of each active router, one
 // flit crosses the switch, respecting one-flit-per-input-port bandwidth,
 // then either ejects locally or enters the link pipeline. One pass over
-// the occupied VCs builds the request bitset of every output port: a VC
-// requests its routed port once it ejects locally or holds a downstream
-// VC.
+// the occupied ready VCs builds the request bitset of every output port.
 func (n *Network) switchTraversal() {
 	for wi, word := range n.activeRouters {
 		for ; word != 0; word &= word - 1 {
@@ -790,12 +844,11 @@ func (n *Network) switchTraversal() {
 			w := len(r.occ)
 			var outs uint // bit o set when output port o has a requester
 			for oi, occ := range r.occ {
-				for ; occ != 0; occ &= occ - 1 {
+				for occ &= r.ready[oi]; occ != 0; occ &= occ - 1 {
 					b := bits.TrailingZeros64(occ)
-					if vc := &r.vcs[oi<<6|b]; vc.routeValid && (vc.route == Local || vc.outVCValid) {
-						n.req[int(vc.route)*w+oi] |= 1 << b
-						outs |= 1 << vc.route
-					}
+					route := r.vcs[oi<<6|b].route
+					n.req[int(route)*w+oi] |= 1 << b
+					outs |= 1 << route
 				}
 			}
 			var usedInput [numDirections]bool
@@ -871,7 +924,7 @@ func (n *Network) grant(r *router, out Direction, idx int, usedInput *[numDirect
 		})
 	}
 	if tail {
-		vc.reset()
+		n.release(vc)
 	}
 	return true
 }

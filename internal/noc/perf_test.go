@@ -2,6 +2,7 @@ package noc
 
 import (
 	"testing"
+	"unsafe"
 )
 
 // TestStatsSnapshotIsValueCopy locks in the array-based Stats contract:
@@ -191,5 +192,14 @@ func TestFlitPoolRecycles(t *testing.T) {
 	send()
 	if got := len(n.flitPool); got != DataPacketFlits {
 		t.Fatalf("pool holds %d flits after recycling, want %d (pool must not grow)", got, DataPacketFlits)
+	}
+}
+
+// TestVCStateSize pins the per-VC footprint: the stage-mask fields fit in
+// the 112 bytes the struct took before them, so the VC array of a 16×16
+// network does not grow.
+func TestVCStateSize(t *testing.T) {
+	if size := unsafe.Sizeof(vcState{}); size > 112 {
+		t.Errorf("vcState is %d bytes, want at most 112", size)
 	}
 }

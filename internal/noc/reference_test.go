@@ -441,6 +441,7 @@ func runLockstep(t *testing.T, c lockstepCase) Stats {
 		}
 		net.Step()
 		ref.step()
+		checkInvariants(t, net)
 		if len(got) != len(want) {
 			t.Fatalf("cycle %d: network delivered %+v, reference %+v", net.Now(), got, want)
 		}
@@ -458,6 +459,62 @@ func runLockstep(t *testing.T, c lockstepCase) Stats {
 		got, want = got[:0], want[:0]
 	}
 	return net.Stats()
+}
+
+// checkInvariants holds the network's bookkeeping to the state it
+// summarises: every VC mask to its predicate over the VC's fields, every
+// waiting head to a head flit, the VA wake list to the routers where an
+// allocation could succeed, and the live-flit count to the flits actually
+// queued, buffered and on links.
+func checkInvariants(t *testing.T, n *Network) {
+	t.Helper()
+	has := func(b bitset, i int) bool { return b[i>>6]>>(i&63)&1 == 1 }
+	free := func(vc *vcState) bool { return vc.owner == nil && vc.n == 0 && vc.inflight == 0 }
+	live := n.inflLen
+	for _, ni := range n.nis {
+		live += ni.qlen()
+	}
+	for _, r := range n.routers {
+		for i := range r.vcs {
+			vc := &r.vcs[i]
+			live += int(vc.n)
+			waiting := vc.routeValid && vc.route != Local && vc.reservedDst == nil
+			for _, m := range []struct {
+				name       string
+				mask, want bool
+			}{
+				{"occ", has(r.occ, i), vc.n > 0},
+				{"free", has(r.free, i), free(vc)},
+				{"va", has(r.va, i), waiting},
+				{"ready", has(r.ready, i), vc.routeValid && (vc.route == Local || vc.reservedDst != nil)},
+			} {
+				if m.mask != m.want {
+					t.Fatalf("cycle %d: router %d VC %d: %s bit %v, predicate %v (%+v)", n.now, r.id, i, m.name, m.mask, m.want, *vc)
+				}
+			}
+			if vc.inflight < 0 {
+				t.Fatalf("cycle %d: router %d VC %d: inflight %d", n.now, r.id, i, vc.inflight)
+			}
+			if !waiting {
+				continue
+			}
+			if vc.n == 0 || !vc.peek().IsHead() {
+				t.Fatalf("cycle %d: router %d VC %d waits for a VC without a head flit", n.now, r.id, i)
+			}
+			if has(n.vaWake, int(r.id)) {
+				continue
+			}
+			nb := n.nbr[int(r.id)*int(numDirections)+int(vc.route)]
+			for d := vc.vaLo; d < vc.vaHi; d++ {
+				if free(&nb.vcs[d]) {
+					t.Fatalf("cycle %d: router %d VC %d waits off the wake list while router %d VC %d is free", n.now, r.id, i, nb.id, d)
+				}
+			}
+		}
+	}
+	if live != n.liveFlits {
+		t.Fatalf("cycle %d: liveFlits %d, but %d flits are queued, buffered or on links", n.now, n.liveFlits, live)
+	}
 }
 
 // lockstepSeeds covers each fuzzed axis at least once: topology, size

@@ -21,10 +21,11 @@ import (
 	"repro/internal/results"
 )
 
-// This file is the bounded job manager: submissions enter a FIFO queue
-// with a depth limit (a full queue rejects with 429 backpressure), a
-// dispatcher starts them in order through an exp.Gate bounding concurrent
-// jobs, and every job runs under its own cancellable context so
+// This file is the bounded job manager: submissions enter one of three
+// strict-priority lanes (queue.go) under a shared depth limit (a full
+// queue rejects with 429 backpressure), a dispatcher starts them highest
+// lane first, in order within a lane, through an exp.Gate bounding
+// concurrent jobs, and every job runs under its own cancellable context so
 // DELETE /v1/jobs/{id} aborts it promptly mid-simulation.
 //
 // The execution path assumes jobs will misbehave: each job runs behind a
@@ -465,7 +466,7 @@ func (m *manager) queueDepths() (queued, running int) {
 
 // submit registers a job, answers it from the content-addressed cache or
 // coalesces it onto an identical in-flight job when possible, and
-// otherwise enqueues it FIFO. A full queue returns errQueueFull (the job
+// otherwise enqueues it at the tail of its priority lane. A full queue returns errQueueFull (the job
 // is not registered).
 func (m *manager) submit(j *job) error {
 	j.created = time.Now()
@@ -685,8 +686,9 @@ func (m *manager) registerLocked(j *job) {
 	j.trace.SetAttr("job_id", j.id)
 }
 
-// dispatch pops jobs FIFO and starts each one once the gate admits it, so
-// job start order matches submission order even with several job slots.
+// dispatch pops jobs highest lane first, FIFO within a lane, and starts
+// each one once the gate admits it, so within a lane job start order
+// matches submission order even with several job slots.
 // With a job timeout configured, the gate wait is bounded by it: a job
 // that cannot get a slot inside its whole deadline budget is failed and
 // the dispatcher moves on — saturation sheds work, it never wedges the

@@ -48,7 +48,7 @@ func (v metricsView) writePrometheus(w io.Writer) error {
 	counter("jobs_cancelled_total", "Jobs cancelled while queued or running.", v.jobsCancelled)
 	counter("jobs_timed_out_total", "Failed jobs whose cause was the --job-timeout deadline (also in jobs_failed_total).", v.jobsTimedOut)
 
-	gauge("queue_depth", "Jobs waiting in the FIFO queue.", float64(v.queued))
+	gauge("queue_depth", "Jobs waiting in the priority-lane job queue (all lanes).", float64(v.queued))
 	gauge("jobs_running", "Jobs currently executing.", float64(v.running))
 
 	// The cache tiers share one family: tier=memory|disk hits, tier=miss

@@ -2,7 +2,7 @@
 // htserved binary: an HTTP API (stdlib net/http only) that accepts whole
 // campaign specs (POST /v1/campaigns, the same JSON schema as
 // specs/paper.json) and single-sim requests (POST /v1/sims, built through
-// htsim.BuildConfig), runs them on a bounded FIFO job queue with 429
+// htsim.BuildConfig), runs them on a bounded priority-lane job queue with 429
 // backpressure and per-job cancellation (DELETE /v1/jobs/{id}), and
 // serves results from a content-addressed cache keyed by the submission's
 // parameter fingerprint plus the binary revision — an identical
@@ -67,8 +67,8 @@ type Options struct {
 	// budget is shared: every admitted job gets the same Workers budget,
 	// and the Go scheduler time-slices them.
 	Jobs int
-	// QueueDepth bounds the FIFO queue; a submission past the depth is
-	// rejected with 429 (default 16).
+	// QueueDepth bounds the job queue across all three priority lanes; a
+	// submission past the depth is rejected with 429 (default 16).
 	QueueDepth int
 	// CacheEntries sizes the in-memory LRU result cache (default 64).
 	CacheEntries int
